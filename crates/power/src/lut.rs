@@ -6,7 +6,26 @@
 //! tile". The coin counter is 6 bits, yielding 64 power levels per tile —
 //! much finer than the 2-5 levels of prior designs.
 
-use crate::model::PowerModel;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+use crate::model::{AcceleratorClass, PowerModel};
+
+/// Non-idle levels of the 6-bit hardware coin counter.
+pub const HW_LEVELS: u32 = 64;
+
+/// Most tables [`CoinLut::shared`] keeps at once. Budgets can come from
+/// untrusted clients (the sweep server), so the memo is bounded: when it
+/// is full, a new table flushes it and the working set refills.
+const SHARED_CAPACITY: usize = 256;
+
+/// `(class, coin value bits)` → the table [`CoinLut::shared`] built for it.
+type Memo = HashMap<(AcceleratorClass, u64), Arc<CoinLut>>;
+
+fn memo() -> &'static Mutex<Memo> {
+    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
+    MEMO.get_or_init(Mutex::default)
+}
 
 /// A per-tile lookup table mapping coin counts to frequency targets.
 ///
@@ -60,6 +79,37 @@ impl CoinLut {
         }
     }
 
+    /// The [`HW_LEVELS`]-level table of `class` at `coin_value_mw`,
+    /// built once per process and shared.
+    ///
+    /// A table is a pure function of its class and coin value — the
+    /// paper characterizes it once per tile type — so every run and every
+    /// tile of one class at one budget can read the same table instead of
+    /// re-running 65 bisections. The result is bit-identical to
+    /// `CoinLut::build(&PowerModel::of(class), coin_value_mw, HW_LEVELS)`.
+    ///
+    /// # Panics
+    /// Panics if `coin_value_mw <= 0` (as [`CoinLut::build`] does).
+    pub fn shared(class: AcceleratorClass, coin_value_mw: f64) -> Arc<CoinLut> {
+        let key = (class, coin_value_mw.to_bits());
+        let lock = || memo().lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(lut) = lock().get(&key) {
+            return Arc::clone(lut);
+        }
+        // Build outside the lock: concurrent first uses of one key may
+        // both build, and the first insert wins — the tables are equal.
+        let lut = Arc::new(CoinLut::build(
+            &PowerModel::of(class),
+            coin_value_mw,
+            HW_LEVELS,
+        ));
+        let mut map = lock();
+        if map.len() >= SHARED_CAPACITY && !map.contains_key(&key) {
+            map.clear();
+        }
+        Arc::clone(map.entry(key).or_insert(lut))
+    }
+
     /// The frequency target (MHz) for `coins`. Counts above the table's
     /// top level clamp to the last entry; negative transient counts (the
     /// sign-bit case of Section IV-A) map to the idle level.
@@ -109,7 +159,6 @@ impl CoinLut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::AcceleratorClass;
 
     fn lut() -> (PowerModel, CoinLut) {
         let m = PowerModel::of(AcceleratorClass::Nvdla);
@@ -175,6 +224,21 @@ mod tests {
         assert_eq!(l.levels(), 64);
         assert_eq!(l.coin_value_mw(), 5.0);
         assert_eq!(l.entries().len(), 65);
+    }
+
+    #[test]
+    fn shared_memo_stays_bounded() {
+        for k in 0..(SHARED_CAPACITY as u64 * 2 + 7) {
+            let coin_value_mw = 0.5 + k as f64 * 0.01;
+            let lut = CoinLut::shared(AcceleratorClass::Fft, coin_value_mw);
+            assert_eq!(lut.coin_value_mw(), coin_value_mw);
+            let held = memo().lock().unwrap().len();
+            assert!(
+                held <= SHARED_CAPACITY,
+                "memo holds {held} tables after {} distinct coin values",
+                k + 1
+            );
+        }
     }
 
     #[test]

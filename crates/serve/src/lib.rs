@@ -39,6 +39,16 @@ use blitzcoin_soc::{floorplan, workload};
 /// field change; requests carrying another version are rejected.
 pub const PROTOCOL_VERSION: u32 = 1;
 
+/// Largest request body accepted; a longer `Content-Length` is answered
+/// `413` before anything is read or allocated.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
+/// Largest request head (request line plus headers) accepted.
+pub const MAX_HEAD_BYTES: u64 = 16 << 10;
+/// Most grid points (`managers × budgets × seeds`) one sweep may ask for.
+pub const MAX_GRID_POINTS: usize = 4096;
+/// Most workload frames one sweep may ask for.
+pub const MAX_FRAMES: usize = 64;
+
 /// A sweep submission: the full grid
 /// `managers × budgets_mw × seeds` over one SoC floorplan and workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,6 +128,40 @@ blitzcoin_sim::json_fields!(SweepResponse {
     wall_ms,
 });
 
+/// The number of grid points `req` expands to, or why the server refuses
+/// it: an empty or over-large grid, an out-of-range frame count, or a
+/// budget that is not a positive normal number (a subnormal budget
+/// leaves no positive coin value).
+pub fn grid_size(req: &SweepRequest) -> Result<usize, String> {
+    if let Some(b) = req
+        .budgets_mw
+        .iter()
+        .find(|b| !(b.is_normal() && **b > 0.0))
+    {
+        return Err(format!("budget {b} mW must be positive"));
+    }
+    if req.frames == 0 {
+        return Err("frames must be positive".into());
+    }
+    if req.frames > MAX_FRAMES {
+        return Err(format!(
+            "{} frames exceed the limit of {MAX_FRAMES}",
+            req.frames
+        ));
+    }
+    let total = req
+        .managers
+        .len()
+        .checked_mul(req.budgets_mw.len())
+        .and_then(|n| n.checked_mul(req.seeds.len()))
+        .filter(|&n| n <= MAX_GRID_POINTS)
+        .ok_or_else(|| format!("sweep grid exceeds the limit of {MAX_GRID_POINTS} points"))?;
+    if total == 0 {
+        return Err("empty sweep grid".into());
+    }
+    Ok(total)
+}
+
 /// Expands and runs a sweep against `cache`, invoking
 /// `progress(done, total)` after each point. This is the whole of the
 /// server's business logic; the HTTP layer only frames it.
@@ -138,18 +182,12 @@ pub fn run_sweep(
         "6x6" => floorplan::soc_6x6(),
         other => return Err(format!("unknown soc preset `{other}`")),
     };
-    if req.frames == 0 {
-        return Err("frames must be positive".into());
-    }
+    let total = grid_size(req)?;
     let managers: Vec<ManagerKind> = req
         .managers
         .iter()
         .map(|m| m.parse().map_err(|e| format!("manager `{m}`: {e}")))
         .collect::<Result<_, String>>()?;
-    let total = managers.len() * req.budgets_mw.len() * req.seeds.len();
-    if total == 0 {
-        return Err("empty sweep grid".into());
-    }
 
     let t0 = Instant::now();
     let wl = workload::av_parallel(&soc, req.frames);
@@ -216,27 +254,35 @@ impl Server {
 }
 
 /// Reads one HTTP request, routes it, writes the response.
+///
+/// Every size the client controls is bounded before it is used: the
+/// head by [`MAX_HEAD_BYTES`], the body by [`MAX_BODY_BYTES`] (checked
+/// against `Content-Length` before the buffer exists), and the sweep
+/// itself by [`grid_size`].
 fn handle(cache: &Cache, stream: TcpStream) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
+    let mut head = (&mut reader).take(MAX_HEAD_BYTES);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    head.read_line(&mut line)?;
     let mut parts = line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
         _ => return respond_error(stream, 400, "malformed request line"),
     };
 
-    let mut content_length = 0usize;
+    let mut content_length = Some(0usize);
     loop {
         let mut header = String::new();
-        reader.read_line(&mut header)?;
+        if head.read_line(&mut header)? == 0 {
+            return respond_error(stream, 400, "request head too large or truncated");
+        }
         let header = header.trim_end();
         if header.is_empty() {
             break;
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                content_length = value.trim().parse().ok();
             }
         }
     }
@@ -247,6 +293,16 @@ fn handle(cache: &Cache, stream: TcpStream) -> std::io::Result<()> {
             &format!("{{\"ok\": true, \"version\": {PROTOCOL_VERSION}}}"),
         ),
         ("POST", "/v1/sweep") => {
+            let Some(content_length) = content_length else {
+                return respond_error(stream, 400, "bad content-length");
+            };
+            if content_length > MAX_BODY_BYTES {
+                return respond_error(
+                    stream,
+                    413,
+                    &format!("body of {content_length} bytes exceeds {MAX_BODY_BYTES}"),
+                );
+            }
             let mut body = vec![0u8; content_length];
             reader.read_exact(&mut body)?;
             let req = match std::str::from_utf8(&body)
@@ -257,6 +313,9 @@ fn handle(cache: &Cache, stream: TcpStream) -> std::io::Result<()> {
                 Ok(req) => req,
                 Err(e) => return respond_error(stream, 400, &format!("bad sweep request: {e}")),
             };
+            if let Err(e) = grid_size(&req) {
+                return respond_error(stream, 400, &format!("bad sweep request: {e}"));
+            }
             respond_sweep(cache, stream, &req)
         }
         _ => respond_error(stream, 404, "no such endpoint"),
@@ -309,6 +368,7 @@ fn respond_error(mut stream: TcpStream, status: u16, message: &str) -> std::io::
     let reason = match status {
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Content Too Large",
         _ => "Error",
     };
     let body = format!("{{\"error\": {}}}", Json::Str(message.to_string()));
@@ -347,10 +407,17 @@ pub mod client {
         BufReader::new(stream)
             .read_to_string(&mut text)
             .map_err(|e| e.to_string())?;
-        let payload = text
+        let (head, payload) = text
             .split_once("\r\n\r\n")
-            .ok_or("malformed http response")?
-            .1;
+            .ok_or("malformed http response")?;
+        let status = head.lines().next().unwrap_or_default();
+        if !status.starts_with("HTTP/1.1 200") {
+            let error = Json::parse(payload)
+                .ok()
+                .and_then(|json| json.field::<String>("error").ok())
+                .unwrap_or_default();
+            return Err(format!("{status}: {error}"));
+        }
 
         let mut progress = Vec::new();
         let mut response = None;
@@ -468,5 +535,40 @@ mod tests {
         assert!(run_sweep(&cache, &empty, |_, _| {})
             .unwrap_err()
             .contains("empty sweep grid"));
+    }
+
+    #[test]
+    fn grid_size_enforces_the_limits() {
+        assert_eq!(grid_size(&request()), Ok(4));
+        let too_many_frames = SweepRequest {
+            frames: MAX_FRAMES + 1,
+            ..request()
+        };
+        assert!(grid_size(&too_many_frames).unwrap_err().contains("frames"));
+        let zero_frames = SweepRequest {
+            frames: 0,
+            ..request()
+        };
+        assert!(grid_size(&zero_frames).unwrap_err().contains("positive"));
+        // 2 managers x 2 budgets x 1025 seeds = 4100 points > 4096
+        let too_large = SweepRequest {
+            budgets_mw: vec![60.0, 120.0],
+            seeds: (0..1025).collect(),
+            ..request()
+        };
+        assert!(grid_size(&too_large).unwrap_err().contains("limit"));
+        let at_limit = SweepRequest {
+            budgets_mw: vec![60.0, 120.0],
+            seeds: (0..1024).collect(),
+            ..request()
+        };
+        assert_eq!(grid_size(&at_limit), Ok(MAX_GRID_POINTS));
+        for bad in [0.0, -60.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE / 2.0] {
+            let req = SweepRequest {
+                budgets_mw: vec![120.0, bad],
+                ..request()
+            };
+            assert!(grid_size(&req).unwrap_err().contains("budget"), "{bad}");
+        }
     }
 }

@@ -7,7 +7,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use blitzcoin_serve::{client, Server, SweepRequest, PROTOCOL_VERSION};
+use blitzcoin_serve::{
+    client, Server, SweepRequest, MAX_FRAMES, MAX_GRID_POINTS, MAX_HEAD_BYTES, PROTOCOL_VERSION,
+};
 use blitzcoin_sim::Cache;
 
 fn start_server() -> (Arc<Cache>, SocketAddr) {
@@ -154,4 +156,87 @@ fn health_and_errors_over_http() {
     let mut text = String::new();
     stream.read_to_string(&mut text).unwrap();
     assert!(text.starts_with("HTTP/1.1 404"));
+}
+
+/// Sends raw `request` bytes and returns the whole reply.
+fn raw_exchange(addr: SocketAddr, request: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.write_all(request).unwrap();
+    let mut text = String::new();
+    stream.read_to_string(&mut text).unwrap();
+    text
+}
+
+#[test]
+fn oversized_inputs_are_refused_before_any_work() {
+    let (cache, addr) = start_server();
+
+    // A ~100 GB Content-Length is refused from the header alone: the
+    // server never allocates the buffer or waits for the body.
+    let reply = raw_exchange(
+        addr,
+        b"POST /v1/sweep HTTP/1.1\r\nHost: x\r\nContent-Length: 99999999999\r\n\r\n",
+    );
+    assert!(reply.starts_with("HTTP/1.1 413"), "got: {reply}");
+    let reply = raw_exchange(
+        addr,
+        b"POST /v1/sweep HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n",
+    );
+    assert!(reply.starts_with("HTTP/1.1 400"), "got: {reply}");
+
+    // A head that has not ended after MAX_HEAD_BYTES is refused too. The
+    // request is exactly that long, so the server reads all of it and
+    // the connection closes cleanly.
+    let mut head = b"GET /v1/health HTTP/1.1\r\nX-Pad: ".to_vec();
+    head.resize(MAX_HEAD_BYTES as usize, b'a');
+    let reply = raw_exchange(addr, &head);
+    assert!(reply.starts_with("HTTP/1.1 400"), "got: {reply}");
+
+    // Grids and frame counts over the limits are 400s, and nothing runs.
+    let huge_grid = SweepRequest {
+        seeds: (0..(MAX_GRID_POINTS as u64 / 2 + 1)).collect(),
+        ..grid(vec![])
+    };
+    let err = client::submit(addr, &huge_grid).expect_err("grid over the limit");
+    assert!(
+        err.starts_with("HTTP/1.1 400") && err.contains("limit"),
+        "got: {err}"
+    );
+    let long = SweepRequest {
+        frames: MAX_FRAMES + 1,
+        ..grid(vec![1])
+    };
+    let err = client::submit(addr, &long).expect_err("frames over the limit");
+    assert!(
+        err.starts_with("HTTP/1.1 400") && err.contains("frames"),
+        "got: {err}"
+    );
+    // A non-positive budget is refused up front too, even after a valid
+    // one that would otherwise have run first.
+    let zero_budget = SweepRequest {
+        budgets_mw: vec![120.0, 0.0],
+        ..grid(vec![1])
+    };
+    let err = client::submit(addr, &zero_budget).expect_err("zero budget");
+    assert!(
+        err.starts_with("HTTP/1.1 400") && err.contains("budget"),
+        "got: {err}"
+    );
+    assert_eq!(
+        cache.stats().misses,
+        0,
+        "a refused request computes nothing"
+    );
+
+    // The benchmark-sized 24-point grid is far inside every limit.
+    let bench = SweepRequest {
+        managers: ["BC", "BC-C", "C-RR", "TS", "PT", "Static"]
+            .map(String::from)
+            .to_vec(),
+        budgets_mw: vec![60.0, 120.0],
+        frames: 2,
+        ..grid(vec![1, 2])
+    };
+    assert_eq!(blitzcoin_serve::grid_size(&bench), Ok(24));
 }

@@ -38,8 +38,9 @@ use crate::json::Json;
 const MEM_CAPACITY: usize = 4096;
 /// On-disk entries kept before oldest-mtime pruning.
 const DISK_CAPACITY: usize = 16384;
-/// Disk pruning runs every this many inserts (prune cost is a directory
-/// walk, so it is amortized rather than paid per write).
+/// Once the store's estimated size exceeds [`DISK_CAPACITY`], pruning
+/// walks it at most every this many inserts (a walk `stat`s every
+/// entry, so it is amortized rather than paid per write).
 const PRUNE_EVERY: u64 = 64;
 
 /// A 256-bit content address: the SHA-256 of a unit's canonical JSON.
@@ -172,8 +173,13 @@ struct State {
     inflight: std::collections::HashSet<CacheKey>,
     /// Monotonic LRU clock.
     tick: u64,
-    /// Inserts since the last disk prune.
-    inserts_since_prune: u64,
+    /// Estimated disk entries: the last walk's count plus the inserts
+    /// made since it started.
+    disk_entries: usize,
+    /// Inserts since the last disk walk started.
+    inserts_since_walk: u64,
+    /// Disk walks so far (0: the store has not been counted yet).
+    disk_walks: u64,
 }
 
 /// The answer to [`Cache::fetch`].
@@ -387,15 +393,26 @@ impl Cache {
         );
         Self::evict_mem(&mut st);
         st.inflight.remove(&key);
-        st.inserts_since_prune += 1;
-        let prune = st.inserts_since_prune >= PRUNE_EVERY;
-        if prune {
-            st.inserts_since_prune = 0;
+        // Walk the store once to count it, then only when the count
+        // could exceed the capacity (DESIGN.md §2c).
+        st.disk_entries += 1;
+        st.inserts_since_walk += 1;
+        let walk = self.dir.is_some()
+            && (st.disk_walks == 0
+                || (st.disk_entries > DISK_CAPACITY && st.inserts_since_walk >= PRUNE_EVERY));
+        if walk {
+            st.disk_entries = 0;
+            st.inserts_since_walk = 0;
+            st.disk_walks += 1;
         }
         drop(st);
         self.resolved.notify_all();
-        if prune {
-            self.prune_disk();
+        if let (true, Some(dir)) = (walk, self.dir.as_ref()) {
+            let left = prune_dir(dir, DISK_CAPACITY);
+            // Inserts that landed during the walk were counted from zero
+            // and may also be in `left`: an overestimate, which only
+            // brings the next walk forward.
+            self.state.lock().expect("cache poisoned").disk_entries += left;
         }
     }
 
@@ -490,37 +507,44 @@ impl Cache {
             let _ = std::fs::remove_file(&tmp);
         }
     }
+}
 
-    /// Removes oldest-mtime entries beyond [`DISK_CAPACITY`]; best-effort.
-    fn prune_disk(&self) {
-        let Some(dir) = self.dir.as_ref() else {
-            return;
+/// Removes the oldest-mtime entries of the store under `dir` beyond
+/// `capacity` and returns how many entries it left.
+///
+/// Best-effort: unreadable shards or entries are skipped, and a failed
+/// removal is counted as left. Other processes sharing the store are
+/// not coordinated with — each counts only its own writes between its
+/// walks, so a store fed by several processes can overshoot `capacity`
+/// until one of them walks it again.
+fn prune_dir(dir: &Path, capacity: usize) -> usize {
+    let mut entries: Vec<(std::time::SystemTime, PathBuf)> = Vec::new();
+    let Ok(shards) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    for shard in shards.flatten() {
+        let Ok(files) = std::fs::read_dir(shard.path()) else {
+            continue;
         };
-        let mut entries: Vec<(std::time::SystemTime, PathBuf)> = Vec::new();
-        let Ok(shards) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for shard in shards.flatten() {
-            let Ok(files) = std::fs::read_dir(shard.path()) else {
-                continue;
-            };
-            for f in files.flatten() {
-                if f.path().extension().is_some_and(|e| e == "json") {
-                    if let Ok(meta) = f.metadata() {
-                        let at = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-                        entries.push((at, f.path()));
-                    }
+        for f in files.flatten() {
+            if f.path().extension().is_some_and(|e| e == "json") {
+                if let Ok(meta) = f.metadata() {
+                    let at = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
+                    entries.push((at, f.path()));
                 }
             }
         }
-        if entries.len() <= DISK_CAPACITY {
-            return;
-        }
-        entries.sort();
-        for (_, path) in &entries[..entries.len() - DISK_CAPACITY] {
-            let _ = std::fs::remove_file(path);
-        }
     }
+    if entries.len() <= capacity {
+        return entries.len();
+    }
+    entries.sort();
+    let excess = entries.len() - capacity;
+    let removed = entries[..excess]
+        .iter()
+        .filter(|(_, path)| std::fs::remove_file(path).is_ok())
+        .count();
+    entries.len() - removed
 }
 
 /// SHA-256 (FIPS 180-4), hand-rolled so the workspace stays
@@ -839,6 +863,54 @@ mod tests {
         let (v, hit) = cache.get_or_compute(key, || Json::Num(9.0));
         assert!(!hit, "abandoned claim must be reclaimable");
         assert_eq!(*v, Json::Num(9.0));
+    }
+
+    #[test]
+    fn store_below_capacity_is_walked_once() {
+        let dir = std::env::temp_dir().join(format!("bc-cache-walks-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Cache::new(Some(dir.clone()), CacheMode::On);
+        let n = PRUNE_EVERY * 4 + 3;
+        for i in 0..n {
+            cache.get_or_compute(key_of(&Json::Num(i as f64), 1), || Json::Num(i as f64));
+        }
+        let st = cache.state.lock().unwrap();
+        assert_eq!(st.disk_walks, 1, "{n} inserts far below capacity");
+        assert_eq!(st.disk_entries, n as usize);
+        drop(st);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn prune_keeps_the_newest_entries_up_to_capacity() {
+        let dir = std::env::temp_dir().join(format!("bc-cache-prune-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Cache::new(Some(dir.clone()), CacheMode::On);
+        let keys: Vec<CacheKey> = (0..10u64)
+            .map(|i| key_of(&Json::Num(i as f64), 1))
+            .collect();
+        let epoch = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
+        for (i, &k) in keys.iter().enumerate() {
+            cache.get_or_compute(k, || Json::Num(i as f64));
+            // Distinct, increasing mtimes: key i is the i-th oldest.
+            let f = std::fs::File::options()
+                .write(true)
+                .open(Cache::entry_path(&dir, &k))
+                .unwrap();
+            f.set_modified(epoch + std::time::Duration::from_secs(i as u64))
+                .unwrap();
+        }
+        assert_eq!(prune_dir(&dir, 20), 10, "under capacity: nothing removed");
+        assert_eq!(prune_dir(&dir, 4), 4);
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(
+                Cache::entry_path(&dir, k).exists(),
+                i >= 6,
+                "entry {i} of 10 after pruning to 4"
+            );
+        }
+        assert_eq!(prune_dir(&dir.join("missing"), 4), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -320,12 +320,13 @@ impl Parser<'_> {
 
     fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        // Most arrays in stored reports are `[time, value]` pairs.
+        let mut items = Vec::with_capacity(2);
         loop {
             self.skip_ws();
             items.push(self.value()?);

@@ -31,10 +31,11 @@
 //! - [`faults`](self::faults): injected tile faults and task abandonment.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use blitzcoin_core::{AllocationPolicy, DynamicTiming, ExchangeMode};
 use blitzcoin_noc::{Network, NetworkConfig, TileId};
-use blitzcoin_power::{CoinLut, PowerModel};
+use blitzcoin_power::{AcceleratorClass, CoinLut, PowerModel};
 use blitzcoin_sim::oracle::Oracle;
 use blitzcoin_sim::{
     ClockDomain, CoinAudit, ConfigError, EventQueue, FaultPlan, SimRng, SimTime, StepTrace,
@@ -51,6 +52,8 @@ pub(crate) mod actuation;
 pub(crate) mod coupling;
 pub(crate) mod events;
 pub(crate) mod faults;
+#[cfg(test)]
+mod partner_tests;
 
 pub use coupling::ThermalCoupling;
 pub(crate) use events::Ev;
@@ -230,7 +233,7 @@ pub(crate) struct Running {
 #[derive(Debug, Clone)]
 pub(crate) struct TileRt {
     pub(crate) model: Option<PowerModel>,
-    pub(crate) lut: Option<CoinLut>,
+    pub(crate) lut: Option<Arc<CoinLut>>,
     pub(crate) managed: bool,
     // coin state (managed tiles)
     pub(crate) has: i64,
@@ -553,17 +556,21 @@ impl<'a> Core<'a> {
     fn new(sim: &'a Simulation, rng: SimRng) -> Self {
         let soc = &sim.soc;
         let managed: Vec<usize> = soc.managed_tiles().iter().map(|t| t.index()).collect();
+        // One shared table per accelerator class (DESIGN.md §2b).
+        let mut luts: [Option<Arc<CoinLut>>; AcceleratorClass::ALL.len()] = Default::default();
         let mut tiles: Vec<TileRt> = soc
             .topology
             .tiles()
             .map(|id| {
                 let kind = soc.tiles[id.index()];
-                let model = kind.accel_class().map(PowerModel::of);
-                let lut = model
-                    .as_ref()
-                    .filter(|_| kind.is_managed())
-                    .map(|m| CoinLut::build(m, sim.coin_value_mw, 64));
-                let _ = id;
+                let class = kind.accel_class();
+                let model = class.map(PowerModel::of);
+                let lut = class.filter(|_| kind.is_managed()).map(|c| {
+                    Arc::clone(
+                        luts[c as usize]
+                            .get_or_insert_with(|| CoinLut::shared(c, sim.coin_value_mw)),
+                    )
+                });
                 TileRt {
                     model,
                     lut,
@@ -609,8 +616,14 @@ impl<'a> Core<'a> {
                 .filter(|&(mj, &tj)| mj != mi && cluster_of[tj] == cluster_of[ti])
                 .map(|(_, &tj)| (soc.topology.hop_distance(me, TileId(tj)), tj))
                 .collect();
-            peers.sort();
-            tiles[ti].partners = peers.into_iter().take(4).map(|(_, tj)| tj).collect();
+            // `(hop, tile id)` is a total order, so partitioning off the
+            // 4 smallest and sorting only those matches a full sort.
+            if peers.len() > 4 {
+                peers.select_nth_unstable(4);
+                peers.truncate(4);
+            }
+            peers.sort_unstable();
+            tiles[ti].partners = peers.into_iter().map(|(_, tj)| tj).collect();
             tiles[ti].suspect = vec![0; tiles[ti].partners.len()];
         }
         // initial coins: each cluster owns a pool slice proportional to

@@ -5,9 +5,11 @@
 #   scripts/bench.sh --gate-selftest    # exercise the gate math on synthetic JSON
 #
 # Runs the per-policy throughput bench and the kernel microbenchmarks in
-# release mode and collects every reported metric into BENCH_10.json at
-# the repo root (or the path given as $1). If BASELINE (default:
-# BENCH_9.json) exists, the BC events/s regression gate runs afterwards.
+# release mode and collects every reported metric into OUT. Both defaults
+# follow the highest committed snapshot BENCH_N.json: OUT defaults to
+# BENCH_<N+1>.json at the repo root (so a bare run never overwrites a
+# committed snapshot) and BASELINE to BENCH_N.json. If BASELINE exists,
+# the BC events/s regression gate runs afterwards.
 #
 # The gate is a same-run paired A/B: every snapshot also records
 # `policy/host_reference`, a pinned pure-ALU kernel whose ns/iter depends
@@ -151,8 +153,19 @@ if [ "${1:-}" = "--gate-selftest" ]; then
     exit "$fails"
 fi
 
-out="${1:-BENCH_10.json}"
-baseline="${2:-BENCH_9.json}"
+# bench_number FILE -> N for a file named BENCH_N.json, else nothing.
+bench_number() {
+    basename "$1" | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p'
+}
+
+# The highest N among the committed snapshots (any on disk outside git).
+latest=$( { git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json 2>/dev/null; } |
+    while read -r f; do bench_number "$f"; done | sort -n | tail -n 1)
+latest=${latest:-0}
+out="${1:-BENCH_$((latest + 1)).json}"
+baseline="${2:-BENCH_$latest.json}"
+number=$(bench_number "$out")
+number=${number:-$((latest + 1))}
 tsv=$(mktemp)
 trap 'rm -f "$tsv"' EXIT
 
@@ -162,10 +175,14 @@ BLITZCOIN_BENCH_OUT="$tsv" cargo bench -q --offline -p blitzcoin-bench --bench p
 BLITZCOIN_BENCH_OUT="$tsv" cargo bench -q --offline -p blitzcoin-bench --bench kernels
 
 rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+# A snapshot taken with uncommitted changes does not measure HEAD.
+if [ -n "$(git status --porcelain --untracked-files=no 2>/dev/null)" ]; then
+    rev="$rev-dirty"
+fi
 
 {
     printf '{\n'
-    printf '  "bench": 10,\n'
+    printf '  "bench": %s,\n' "$number"
     printf '  "git_rev": "%s",\n' "$rev"
     printf '  "jobs": 1,\n'
     printf '  "metrics": {\n'
