@@ -189,9 +189,12 @@ fn sim_kernels(c: &mut Criterion) {
 }
 
 fn cache_kernels(c: &mut Criterion) {
-    use blitzcoin_sim::Cache;
+    use blitzcoin_sim::cache::{key_of, Fetch};
+    use blitzcoin_sim::json::{Json, ToJson};
+    use blitzcoin_sim::{Cache, CacheMode};
     use blitzcoin_soc::cached::run_cached;
     use blitzcoin_soc::{floorplan, workload, SimConfig, Simulation};
+    use std::sync::Arc;
 
     // The result cache's two hot operations, on a representative unit
     // (the 3x3 AV sim every small figure sweeps): hashing the unit into
@@ -213,6 +216,24 @@ fn cache_kernels(c: &mut Criterion) {
     c.bench_function("kernel/cache_lookup_hit", |b| {
         b.iter(|| black_box(run_cached(&cache, &sim, 7).1))
     });
+
+    // Storing that report through a disk-backed cache under a fresh key
+    // each iteration: serialize, checksum, and one append to a segment.
+    let report = Arc::new(run_cached(&cache, &sim, 7).0.to_json());
+    let dir = std::env::temp_dir().join(format!("bc-bench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let disk = Cache::new(Some(dir.clone()), CacheMode::On);
+    let mut n = 0u64;
+    c.bench_function("kernel/cache_store_disk", |b| {
+        b.iter(|| {
+            n += 1;
+            let Fetch::Miss(guard) = disk.fetch(key_of(&Json::Num(n as f64), 0)) else {
+                panic!("every key is fresh");
+            };
+            guard.complete_shared(Arc::clone(&report), 1.0);
+        })
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn host_reference(c: &mut Criterion) {

@@ -27,7 +27,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use blitzcoin_sim::json::{FromJson, Json, ToJson};
 use blitzcoin_sim::Cache;
@@ -48,6 +48,10 @@ pub const MAX_HEAD_BYTES: u64 = 16 << 10;
 pub const MAX_GRID_POINTS: usize = 4096;
 /// Most workload frames one sweep may ask for.
 pub const MAX_FRAMES: usize = 64;
+/// Read and write timeout of every accepted connection: a client that
+/// stalls this long in one read or write is disconnected, so a slow or
+/// silent client cannot hold a connection thread open for good.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A sweep submission: the full grid
 /// `managers × budgets_mw × seeds` over one SoC floorplan and workload.
@@ -234,7 +238,8 @@ impl Server {
         Server { cache }
     }
 
-    /// Serves `listener` forever, one thread per connection. Connection
+    /// Serves `listener` forever, one thread per connection, each
+    /// stream with [`IO_TIMEOUT`] for reads and writes. Connection
     /// errors are logged and never take the server down.
     pub fn serve(&self, listener: TcpListener) {
         for conn in listener.incoming() {
@@ -242,7 +247,11 @@ impl Server {
                 Ok(stream) => {
                     let cache = Arc::clone(&self.cache);
                     std::thread::spawn(move || {
-                        if let Err(e) = handle(&cache, stream) {
+                        let served = stream
+                            .set_read_timeout(Some(IO_TIMEOUT))
+                            .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)))
+                            .and_then(|()| handle(&cache, stream));
+                        if let Err(e) = served {
                             eprintln!("blitzcoin-serve: connection error: {e}");
                         }
                     });

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::thread;
 
 use blitzcoin_serve::{
-    client, Server, SweepRequest, MAX_FRAMES, MAX_GRID_POINTS, MAX_HEAD_BYTES, PROTOCOL_VERSION,
+    client, Server, SweepRequest, IO_TIMEOUT, MAX_FRAMES, MAX_GRID_POINTS, MAX_HEAD_BYTES,
+    PROTOCOL_VERSION,
 };
 use blitzcoin_sim::Cache;
 
@@ -156,6 +157,42 @@ fn health_and_errors_over_http() {
     let mut text = String::new();
     stream.read_to_string(&mut text).unwrap();
     assert!(text.starts_with("HTTP/1.1 404"));
+}
+
+#[test]
+fn stalled_client_is_disconnected_while_a_sweep_is_answered() {
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+    let (_cache, addr) = start_server();
+
+    // Half a request head, then silence. The client's own timeout only
+    // stops a hung test; the server must hang up well before it.
+    let mut stalled = std::net::TcpStream::connect(addr).expect("connect");
+    stalled
+        .set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(10)))
+        .unwrap();
+    stalled
+        .write_all(b"POST /v1/sweep HTTP/1.1\r\nHost: x\r\nContent-Le")
+        .unwrap();
+    let t0 = Instant::now();
+
+    let (resp, _) = client::submit(addr, &grid(vec![31])).expect("concurrent sweep");
+    assert_eq!(resp.points.len(), 2);
+
+    let mut reply = Vec::new();
+    let closed = stalled.read_to_end(&mut reply);
+    let waited = t0.elapsed();
+    assert!(
+        matches!(closed, Ok(0))
+            || matches!(&closed, Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset),
+        "the server hangs up: {closed:?}"
+    );
+    assert!(reply.is_empty(), "nothing is answered to half a head");
+    assert!(
+        waited >= IO_TIMEOUT - Duration::from_millis(500)
+            && waited < IO_TIMEOUT + Duration::from_secs(3),
+        "disconnected after {waited:?}, timeout {IO_TIMEOUT:?}"
+    );
 }
 
 /// Sends raw `request` bytes and returns the whole reply.

@@ -17,17 +17,54 @@
 //!
 //! 1. an in-memory map (LRU-bounded) for hits within one process, which
 //!    is also what coalesces *cross-figure* duplicates in a full regen;
-//! 2. an on-disk store (`<dir>/<2-hex shard>/<64-hex key>.json`, atomic
-//!    tmp-file + rename writes, mtime-pruned) for warm re-runs;
+//! 2. an on-disk store of append-only segment logs (below) for warm
+//!    re-runs;
 //! 3. an in-flight set with condvar hand-off, so concurrent requests for
 //!    the same key run the computation once and share the result.
 //!
-//! Any corrupted, truncated, or mismatched disk entry is a logged miss —
-//! never an error, never a wrong result: the entry is unlinked and the
-//! unit recomputed.
+//! # The disk store
+//!
+//! The store is one flat directory of segment files named
+//! `<stamp>-<pid>.seg`: `<stamp>` is the creation time in nanoseconds
+//! as 16 hex digits, strictly increasing within a process, so names
+//! sort oldest first. Each `Cache` appends only to segments it created
+//! itself (`create_new`, i.e. `O_EXCL`), and rolls to a new one every
+//! `SEGMENT_RECORDS` records. A record is written with one
+//! `write_all`: a 64-byte header, then the value's compact JSON.
+//!
+//! | bytes    | field                                              |
+//! |----------|----------------------------------------------------|
+//! | `0..8`   | magic `BZCACHE1` (the record format version)       |
+//! | `8..40`  | the key                                            |
+//! | `40..48` | `compute_ms`, little-endian `f64` bits             |
+//! | `48..56` | payload length, little-endian `u64`                |
+//! | `56..64` | `checksum` of bytes `8..56` and the payload        |
+//!
+//! A cache's first disk access indexes the store: it reads every
+//! segment's headers, oldest segment first, skipping the payloads, and a
+//! later record of a key replaces an earlier one. A segment's scan stops
+//! at its first bad header or at a record running past the end of the
+//! file. Such a torn tail can only come from a crashed writer, because a
+//! segment has one writer; the scan never truncates or rewrites a file
+//! another process may still be appending to. A disk hit reads one
+//! record at its indexed offset and checks its key, length and checksum
+//! before parsing the payload. Any mismatch, and any corrupted or
+//! truncated record, is a logged miss — never an error, never a wrong
+//! result: the unit is recomputed and its replacement appended to this
+//! cache's own segment, which sorts after every segment the index was
+//! built from, so it wins when the store is reopened. Other files and
+//! directories in the store are ignored.
+//!
+//! Past `DISK_CAPACITY` records the oldest whole segments are
+//! unlinked while the rest still hold at least the capacity. A process
+//! sees the records written before its first disk access; records other
+//! processes write later are not in its index, so their units are
+//! recomputed rather than read.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::fs::File;
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -36,12 +73,17 @@ use crate::json::Json;
 
 /// In-memory entries kept before least-recently-used eviction.
 const MEM_CAPACITY: usize = 4096;
-/// On-disk entries kept before oldest-mtime pruning.
+/// On-disk records kept before the oldest segments are pruned.
 const DISK_CAPACITY: usize = 16384;
-/// Once the store's estimated size exceeds [`DISK_CAPACITY`], pruning
-/// walks it at most every this many inserts (a walk `stat`s every
-/// entry, so it is amortized rather than paid per write).
-const PRUNE_EVERY: u64 = 64;
+/// Records a segment takes before its writer rolls to a new one; also
+/// the granularity of pruning.
+const SEGMENT_RECORDS: usize = 256;
+/// Record magic; the trailing digit is the record format version.
+const MAGIC: [u8; 8] = *b"BZCACHE1";
+/// Bytes in a record header.
+const HEADER_LEN: usize = 64;
+/// File extension of a segment.
+const SEGMENT_EXT: &str = "seg";
 
 /// A 256-bit content address: the SHA-256 of a unit's canonical JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,7 +95,7 @@ impl CacheKey {
         &self.0
     }
 
-    /// The 64-character lowercase hex form (also the on-disk file stem).
+    /// The 64-character lowercase hex form.
     pub fn hex(&self) -> String {
         let mut s = String::with_capacity(64);
         for b in self.0 {
@@ -173,13 +215,6 @@ struct State {
     inflight: std::collections::HashSet<CacheKey>,
     /// Monotonic LRU clock.
     tick: u64,
-    /// Estimated disk entries: the last walk's count plus the inserts
-    /// made since it started.
-    disk_entries: usize,
-    /// Inserts since the last disk walk started.
-    inserts_since_walk: u64,
-    /// Disk walks so far (0: the store has not been counted yet).
-    disk_walks: u64,
 }
 
 /// The answer to [`Cache::fetch`].
@@ -239,7 +274,7 @@ impl Drop for ComputeGuard<'_> {
 #[derive(Debug)]
 pub struct Cache {
     mode: CacheMode,
-    dir: Option<PathBuf>,
+    store: Option<Mutex<Store>>,
     state: Mutex<State>,
     resolved: Condvar,
     hits: AtomicU64,
@@ -255,7 +290,7 @@ impl Cache {
     pub fn new(dir: Option<PathBuf>, mode: CacheMode) -> Self {
         Cache {
             mode,
-            dir,
+            store: dir.map(|dir| Mutex::new(Store::new(dir))),
             state: Mutex::new(State::default()),
             resolved: Condvar::new(),
             hits: AtomicU64::new(0),
@@ -318,7 +353,7 @@ impl Cache {
                 if self.mode == CacheMode::On {
                     if let Some((value, ms)) = self.load_disk(&key) {
                         let value = Arc::new(value);
-                        self.admit(key, value.clone(), ms);
+                        self.publish(key, value.clone(), ms);
                         self.record_hit(ms);
                         return Fetch::Hit(value, ms);
                     }
@@ -355,31 +390,18 @@ impl Cache {
         self.saved_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    /// Publishes a disk-loaded value into the memory map and releases
-    /// the in-flight claim (no write-back, no prune accounting — the
-    /// entry is already on disk).
-    fn admit(&self, key: CacheKey, value: Arc<Json>, compute_ms: f64) {
-        let mut st = self.state.lock().expect("cache poisoned");
-        st.tick += 1;
-        let tick = st.tick;
-        st.map.insert(
-            key,
-            Slot {
-                value,
-                compute_ms,
-                tick,
-            },
-        );
-        Self::evict_mem(&mut st);
-        st.inflight.remove(&key);
-        drop(st);
-        self.resolved.notify_all();
+    /// Appends a computed value to the disk store, then publishes it.
+    fn insert(&self, key: CacheKey, value: Arc<Json>, compute_ms: f64) {
+        if let Some(store) = &self.store {
+            // Encode outside the lock; only the append is serialized.
+            let record = encode_record(&key, compute_ms, value.to_string().as_bytes());
+            store.lock().expect("cache poisoned").append(key, &record);
+        }
+        self.publish(key, value, compute_ms);
     }
 
-    fn insert(&self, key: CacheKey, value: Arc<Json>, compute_ms: f64) {
-        if self.mode != CacheMode::Off {
-            self.store_disk(&key, &value, compute_ms);
-        }
+    /// Puts a value into the memory map and releases its in-flight claim.
+    fn publish(&self, key: CacheKey, value: Arc<Json>, compute_ms: f64) {
         let mut st = self.state.lock().expect("cache poisoned");
         st.tick += 1;
         let tick = st.tick;
@@ -393,27 +415,8 @@ impl Cache {
         );
         Self::evict_mem(&mut st);
         st.inflight.remove(&key);
-        // Walk the store once to count it, then only when the count
-        // could exceed the capacity (DESIGN.md §2c).
-        st.disk_entries += 1;
-        st.inserts_since_walk += 1;
-        let walk = self.dir.is_some()
-            && (st.disk_walks == 0
-                || (st.disk_entries > DISK_CAPACITY && st.inserts_since_walk >= PRUNE_EVERY));
-        if walk {
-            st.disk_entries = 0;
-            st.inserts_since_walk = 0;
-            st.disk_walks += 1;
-        }
         drop(st);
         self.resolved.notify_all();
-        if let (true, Some(dir)) = (walk, self.dir.as_ref()) {
-            let left = prune_dir(dir, DISK_CAPACITY);
-            // Inserts that landed during the walk were counted from zero
-            // and may also be in `left`: an overestimate, which only
-            // brings the next walk forward.
-            self.state.lock().expect("cache poisoned").disk_entries += left;
-        }
     }
 
     /// Evicts least-recently-used slots beyond [`MEM_CAPACITY`].
@@ -427,124 +430,372 @@ impl Cache {
         }
     }
 
-    /// `<dir>/<2-hex shard>/<64-hex key>.json`.
-    fn entry_path(dir: &Path, key: &CacheKey) -> PathBuf {
-        let hex = key.hex();
-        dir.join(&hex[..2]).join(format!("{hex}.json"))
-    }
-
-    /// Reads and validates a disk entry; any failure is a logged miss
-    /// (the entry is unlinked so it is not re-parsed every run).
+    /// Reads and checks the indexed record of `key`; any failure is a
+    /// logged miss, whose recomputed value then replaces the record.
     fn load_disk(&self, key: &CacheKey) -> Option<(Json, f64)> {
-        let dir = self.dir.as_ref()?;
-        let path = Self::entry_path(dir, key);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match Self::decode_entry(&text, key) {
+        let store = self.store.as_ref()?;
+        let (path, loc) = store.lock().expect("cache poisoned").locate(key)?;
+        match read_record(&path, loc).and_then(|record| decode_record(&record, key)) {
             Ok(hit) => Some(hit),
             Err(why) => {
                 eprintln!(
-                    "blitzcoin-cache: discarding bad entry {} ({why}); treating as a miss",
-                    path.display()
+                    "blitzcoin-cache: discarding bad entry {} at byte {} ({why}); treating as a miss",
+                    path.display(),
+                    loc.offset
                 );
-                let _ = std::fs::remove_file(&path);
                 None
             }
         }
     }
+}
 
-    fn decode_entry(text: &str, key: &CacheKey) -> Result<(Json, f64), String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let stored_key = doc
-            .get("key")
-            .and_then(Json::as_str)
-            .ok_or("missing `key`")?;
-        if stored_key != key.hex() {
-            return Err(format!("key mismatch (`{stored_key}`)"));
+/// Where the newest indexed record of a key lives.
+#[derive(Debug, Clone, Copy)]
+struct Loc {
+    /// [`Segment::id`] of the segment holding it.
+    seg: u32,
+    /// Byte offset of the record's header.
+    offset: u64,
+    /// Header plus payload bytes.
+    len: u64,
+}
+
+/// A segment file the index refers to.
+#[derive(Debug)]
+struct Segment {
+    /// Ascends with the name, so with age.
+    id: u32,
+    path: PathBuf,
+    /// Records in the file (superseded ones included).
+    records: usize,
+}
+
+/// The segment a cache appends to.
+#[derive(Debug)]
+struct Writer {
+    seg: u32,
+    file: File,
+    /// Bytes written so far: the next record's offset.
+    len: u64,
+}
+
+/// The on-disk half of a [`Cache`]: the segment directory, its header
+/// index, and this cache's own writer segment (see the module docs).
+#[derive(Debug)]
+struct Store {
+    dir: PathBuf,
+    /// Whether the first disk access has indexed the store yet.
+    scanned: bool,
+    index: HashMap<CacheKey, Loc>,
+    /// Indexed segments, then the writer's, oldest first.
+    segments: Vec<Segment>,
+    next_id: u32,
+    writer: Option<Writer>,
+}
+
+impl Store {
+    fn new(dir: PathBuf) -> Store {
+        Store {
+            dir,
+            scanned: false,
+            index: HashMap::new(),
+            segments: Vec::new(),
+            next_id: 0,
+            writer: None,
         }
-        let compute_ms = doc
-            .get("compute_ms")
-            .and_then(Json::as_f64)
-            .ok_or("missing `compute_ms`")?;
-        // Move the value out of the envelope rather than cloning it: a
-        // megabyte-scale report would otherwise be deep-copied on every
-        // disk hit.
-        let Json::Obj(pairs) = doc else {
-            return Err("entry is not an object".to_string());
-        };
-        let value = pairs
-            .into_iter()
-            .find(|(k, _)| k == "value")
-            .map(|(_, v)| v)
-            .ok_or("missing `value`")?;
-        Ok((value, compute_ms))
     }
 
-    /// Writes the entry atomically: unique tmp file in the shard
-    /// directory, then rename. A concurrent reader sees either the old
-    /// complete entry or the new complete entry, never a torn write.
-    fn store_disk(&self, key: &CacheKey, value: &Json, compute_ms: f64) {
-        let Some(dir) = self.dir.as_ref() else {
+    /// Indexes the store on first use: every segment's headers, oldest
+    /// segment first, so a later record of a key replaces an earlier one.
+    fn scan_once(&mut self) {
+        if self.scanned {
+            return;
+        }
+        self.scanned = true;
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&self.dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|entry| entry.path())
+            .filter(|path| is_segment_name(path))
+            .collect();
+        paths.sort();
+        for path in paths {
+            self.scan_segment(path);
+        }
+    }
+
+    /// Indexes one segment's records up to its first bad header or torn
+    /// record. Only headers are read: a payload is skipped by seeking
+    /// past it, so no more than one read buffer is ever held.
+    fn scan_segment(&mut self, path: PathBuf) {
+        let Ok(file) = File::open(&path) else {
             return;
         };
-        let path = Self::entry_path(dir, key);
-        let shard = path.parent().expect("entry path has a shard dir");
-        if std::fs::create_dir_all(shard).is_err() {
-            return; // read-only store: degrade to memory-only
+        let Ok(end) = file.metadata().map(|m| m.len()) else {
+            return;
+        };
+        let mut reader = BufReader::new(file);
+        let id = self.next_id;
+        let (mut offset, mut records) = (0u64, 0usize);
+        let mut head = [0u8; HEADER_LEN];
+        while end - offset >= HEADER_LEN as u64 && reader.read_exact(&mut head).is_ok() {
+            let Some(header) = Header::parse(&head) else {
+                break;
+            };
+            if header.len > end - offset - HEADER_LEN as u64
+                || reader.seek_relative(header.len as i64).is_err()
+            {
+                break;
+            }
+            let len = HEADER_LEN as u64 + header.len;
+            self.index.insert(
+                header.key,
+                Loc {
+                    seg: id,
+                    offset,
+                    len,
+                },
+            );
+            offset += len;
+            records += 1;
         }
-        // Assemble the envelope textually so the value is serialized in
-        // place instead of deep-cloned into a temporary document.
-        let body = value.to_string();
-        let mut doc = String::with_capacity(body.len() + 128);
-        doc.push_str("{\"key\": \"");
-        doc.push_str(&key.hex());
-        doc.push_str("\", \"compute_ms\": ");
-        doc.push_str(&Json::Num(compute_ms).to_string());
-        doc.push_str(", \"value\": ");
-        doc.push_str(&body);
-        doc.push('}');
-        let tmp = shard.join(format!(".tmp-{}-{}", key.hex(), std::process::id()));
-        if std::fs::write(&tmp, doc).is_ok() && std::fs::rename(&tmp, &path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
+        if records > 0 {
+            self.next_id += 1;
+            self.segments.push(Segment { id, path, records });
+        }
+    }
+
+    /// The segment path and location of `key`'s newest indexed record.
+    fn locate(&mut self, key: &CacheKey) -> Option<(PathBuf, Loc)> {
+        self.scan_once();
+        let loc = *self.index.get(key)?;
+        let at = self
+            .segments
+            .binary_search_by_key(&loc.seg, |s| s.id)
+            .expect("indexed segment is known");
+        Some((self.segments[at].path.clone(), loc))
+    }
+
+    /// Records across the known segments, superseded ones included.
+    fn records(&self) -> usize {
+        self.segments.iter().map(|s| s.records).sum()
+    }
+
+    /// Appends one encoded record for `key` to this cache's segment,
+    /// rolling to a new segment when it is full, then prunes. A store
+    /// that cannot be written degrades to memory-only.
+    fn append(&mut self, key: CacheKey, record: &[u8]) {
+        self.scan_once();
+        let full = self
+            .segments
+            .last()
+            .is_some_and(|s| s.records >= SEGMENT_RECORDS);
+        if self.writer.is_none() || full {
+            self.writer = self.create_segment();
+        }
+        let Some(w) = self.writer.as_mut() else {
+            return;
+        };
+        if w.file.write_all(record).is_err() {
+            // A partial write leaves a torn tail that hides every later
+            // record of the segment from a scan: start a new one.
+            self.writer = None;
+            return;
+        }
+        let loc = Loc {
+            seg: w.seg,
+            offset: w.len,
+            len: record.len() as u64,
+        };
+        w.len += loc.len;
+        self.segments
+            .last_mut()
+            .expect("the writer's segment is the newest")
+            .records += 1;
+        self.index.insert(key, loc);
+        self.prune(DISK_CAPACITY);
+    }
+
+    /// Creates a new segment for this cache to append to.
+    fn create_segment(&mut self) -> Option<Writer> {
+        std::fs::create_dir_all(&self.dir).ok()?;
+        let name = format!(
+            "{:016x}-{:08x}.{SEGMENT_EXT}",
+            next_stamp(),
+            std::process::id()
+        );
+        let path = self.dir.join(name);
+        let file = File::options()
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .ok()?;
+        let id = self.next_id;
+        self.next_id += 1;
+        self.segments.push(Segment {
+            id,
+            path,
+            records: 0,
+        });
+        Some(Writer {
+            seg: id,
+            file,
+            len: 0,
+        })
+    }
+
+    /// Unlinks whole segments, oldest first, while the rest still hold
+    /// at least `capacity` records. The segment this cache appends to is
+    /// never removed. Best-effort: a segment that cannot be removed stops
+    /// the pass, and one another process already removed counts as gone.
+    fn prune(&mut self, capacity: usize) {
+        self.scan_once();
+        let writing = self.writer.as_ref().map(|w| w.seg);
+        let mut left = self.records();
+        let mut gone = 0;
+        while let Some(oldest) = self.segments.get(gone) {
+            if Some(oldest.id) == writing || left - oldest.records < capacity {
+                break;
+            }
+            match std::fs::remove_file(&oldest.path) {
+                Ok(()) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(_) => break,
+            }
+            left -= oldest.records;
+            gone += 1;
+        }
+        if gone > 0 {
+            self.segments.drain(..gone);
+            let first = self.segments.first().map_or(self.next_id, |s| s.id);
+            self.index.retain(|_, loc| loc.seg >= first);
         }
     }
 }
 
-/// Removes the oldest-mtime entries of the store under `dir` beyond
-/// `capacity` and returns how many entries it left.
-///
-/// Best-effort: unreadable shards or entries are skipped, and a failed
-/// removal is counted as left. Other processes sharing the store are
-/// not coordinated with — each counts only its own writes between its
-/// walks, so a store fed by several processes can overshoot `capacity`
-/// until one of them walks it again.
-fn prune_dir(dir: &Path, capacity: usize) -> usize {
-    let mut entries: Vec<(std::time::SystemTime, PathBuf)> = Vec::new();
-    let Ok(shards) = std::fs::read_dir(dir) else {
-        return 0;
+/// Whether `path` names a segment: `<16 hex>-<8 hex>.seg`.
+fn is_segment_name(path: &Path) -> bool {
+    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+        return false;
     };
-    for shard in shards.flatten() {
-        let Ok(files) = std::fs::read_dir(shard.path()) else {
-            continue;
-        };
-        for f in files.flatten() {
-            if f.path().extension().is_some_and(|e| e == "json") {
-                if let Ok(meta) = f.metadata() {
-                    let at = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-                    entries.push((at, f.path()));
-                }
-            }
-        }
+    let Some(stem) = name
+        .strip_suffix(SEGMENT_EXT)
+        .and_then(|s| s.strip_suffix('.'))
+    else {
+        return false;
+    };
+    let hex = |s: &str| s.bytes().all(|b| b.is_ascii_hexdigit());
+    matches!(stem.split_once('-'), Some((stamp, pid))
+        if stamp.len() == 16 && pid.len() == 8 && hex(stamp) && hex(pid))
+}
+
+/// A segment's creation stamp: nanoseconds since the Unix epoch, made
+/// strictly increasing within the process so that two segments it
+/// creates never share a name and always sort in creation order.
+fn next_stamp() -> u64 {
+    static LAST: AtomicU64 = AtomicU64::new(0);
+    let now = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    let prev = LAST
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |last| {
+            Some(now.max(last + 1))
+        })
+        .expect("the update always succeeds");
+    now.max(prev + 1)
+}
+
+/// A record header (see the module docs for the layout).
+struct Header {
+    key: CacheKey,
+    compute_ms: f64,
+    /// Payload bytes.
+    len: u64,
+    checksum: u64,
+}
+
+impl Header {
+    /// `None` unless the header starts with [`MAGIC`].
+    fn parse(b: &[u8; HEADER_LEN]) -> Option<Header> {
+        let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+        (b[..8] == MAGIC).then(|| Header {
+            key: CacheKey(b[8..40].try_into().expect("32 bytes")),
+            compute_ms: f64::from_bits(word(40)),
+            len: word(48),
+            checksum: word(56),
+        })
     }
-    if entries.len() <= capacity {
-        return entries.len();
+}
+
+/// One record, header then payload, ready for a single `write_all`.
+fn encode_record(key: &CacheKey, compute_ms: f64, payload: &[u8]) -> Vec<u8> {
+    let mut record = Vec::with_capacity(HEADER_LEN + payload.len());
+    record.extend_from_slice(&MAGIC);
+    record.extend_from_slice(&key.0);
+    record.extend_from_slice(&compute_ms.to_bits().to_le_bytes());
+    record.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    let sum = checksum(&record[8..], payload);
+    record.extend_from_slice(&sum.to_le_bytes());
+    record.extend_from_slice(payload);
+    record
+}
+
+/// Reads the `loc.len` bytes of a record at `loc.offset` of `path`.
+fn read_record(path: &Path, loc: Loc) -> Result<Vec<u8>, String> {
+    let mut file = File::open(path).map_err(|e| e.to_string())?;
+    file.seek(SeekFrom::Start(loc.offset))
+        .map_err(|e| e.to_string())?;
+    let len = usize::try_from(loc.len).map_err(|e| e.to_string())?;
+    let mut record = vec![0; len];
+    file.read_exact(&mut record).map_err(|e| e.to_string())?;
+    Ok(record)
+}
+
+/// Checks a record read back for `key` and parses its payload, returning
+/// the value and its `compute_ms`.
+fn decode_record(record: &[u8], key: &CacheKey) -> Result<(Json, f64), String> {
+    let (head, payload) = record.split_at(HEADER_LEN);
+    let header = Header::parse(head.try_into().expect("header length")).ok_or("bad magic")?;
+    if header.key != *key {
+        return Err(format!("key mismatch (`{}`)", header.key));
     }
-    entries.sort();
-    let excess = entries.len() - capacity;
-    let removed = entries[..excess]
-        .iter()
-        .filter(|(_, path)| std::fs::remove_file(path).is_ok())
-        .count();
-    entries.len() - removed
+    if header.len != payload.len() as u64 {
+        return Err("length mismatch".to_string());
+    }
+    if checksum(&head[8..56], payload) != header.checksum {
+        return Err("checksum mismatch".to_string());
+    }
+    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+    let value = Json::parse(text).map_err(|e| e.to_string())?;
+    Ok((value, header.compute_ms))
+}
+
+/// The record checksum over the header fields (`fields`, a whole number
+/// of 8-byte words) and the payload: a multiply-rotate hash of 8-byte
+/// little-endian words, the last one zero-padded, seeded with the length
+/// and finished with MurmurHash3's 64-bit mixer. Every step is a
+/// bijection of the running state for a fixed word and of the word for a
+/// fixed state, so a record that differs from the written one in a
+/// single word always fails the check.
+fn checksum(fields: &[u8], payload: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    debug_assert_eq!(fields.len() % 8, 0);
+    let mut h = (fields.len() + payload.len()) as u64 ^ K;
+    let mut step = |word: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        h = (h ^ u64::from_le_bytes(w)).wrapping_mul(K).rotate_left(29);
+    };
+    fields
+        .chunks(8)
+        .chain(payload.chunks(8))
+        .for_each(&mut step);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// SHA-256 (FIPS 180-4), hand-rolled so the workspace stays
@@ -775,33 +1026,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_round_trip_and_corruption_is_a_miss() {
-        let dir = std::env::temp_dir().join(format!("bc-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = key_of(&Json::Str("unit".into()), 1);
-
-        let warm = Cache::new(Some(dir.clone()), CacheMode::On);
-        warm.get_or_compute(key, || Json::Num(42.0));
-
-        // A second cache over the same dir hits from disk.
-        let reread = Cache::new(Some(dir.clone()), CacheMode::On);
-        let (v, hit) = reread.get_or_compute(key, || panic!("disk should hit"));
-        assert!(hit);
-        assert_eq!(*v, Json::Num(42.0));
-
-        // Truncate the entry: the next cold cache must recompute, not error.
-        let path = Cache::entry_path(&dir, &key);
-        std::fs::write(&path, "{\"key\": \"trunc").unwrap();
-        let cold = Cache::new(Some(dir.clone()), CacheMode::On);
-        let (v, hit) = cold.get_or_compute(key, || Json::Num(43.0));
-        assert!(!hit);
-        assert_eq!(*v, Json::Num(43.0));
-        assert!(!path.exists() || Json::parse(&std::fs::read_to_string(&path).unwrap()).is_ok());
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn refresh_recomputes_once_then_hits_in_process() {
         let dir = std::env::temp_dir().join(format!("bc-cache-refresh-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -865,52 +1089,292 @@ mod tests {
         assert_eq!(*v, Json::Num(9.0));
     }
 
-    #[test]
-    fn store_below_capacity_is_walked_once() {
-        let dir = std::env::temp_dir().join(format!("bc-cache-walks-{}", std::process::id()));
+    /// An empty store directory unique to this test process.
+    fn store_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bc-cache-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = Cache::new(Some(dir.clone()), CacheMode::On);
-        let n = PRUNE_EVERY * 4 + 3;
+        dir
+    }
+
+    /// The segment files under `dir`, oldest first.
+    fn segment_files(dir: &Path) -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| is_segment_name(p) && p.is_file())
+            .collect();
+        paths.sort();
+        paths
+    }
+
+    fn store(cache: &Cache) -> std::sync::MutexGuard<'_, Store> {
+        cache.store.as_ref().expect("disk-backed").lock().unwrap()
+    }
+
+    fn num_key(i: usize) -> CacheKey {
+        key_of(&Json::Num(i as f64), 1)
+    }
+
+    #[test]
+    fn disk_round_trip_and_corruption_is_a_miss() {
+        let dir = store_dir("round-trip");
+        let key = key_of(&Json::Str("unit".into()), 1);
+
+        let warm = Cache::new(Some(dir.clone()), CacheMode::On);
+        warm.get_or_compute(key, || Json::Num(42.0));
+
+        // A second cache over the same dir hits from disk.
+        let reread = Cache::new(Some(dir.clone()), CacheMode::On);
+        let (v, hit) = reread.get_or_compute(key, || panic!("disk should hit"));
+        assert!(hit);
+        assert_eq!(*v, Json::Num(42.0));
+
+        // Truncate the record: the next cold cache must recompute, not
+        // error, and its replacement is what the store serves next.
+        let [segment] = &segment_files(&dir)[..] else {
+            panic!("one writer, one segment");
+        };
+        let len = std::fs::metadata(segment).unwrap().len();
+        File::options()
+            .write(true)
+            .open(segment)
+            .unwrap()
+            .set_len(len - 1)
+            .unwrap();
+        let cold = Cache::new(Some(dir.clone()), CacheMode::On);
+        let (v, hit) = cold.get_or_compute(key, || Json::Num(43.0));
+        assert!(!hit);
+        assert_eq!(*v, Json::Num(43.0));
+        let (v, hit) = Cache::new(Some(dir.clone()), CacheMode::On)
+            .get_or_compute(key, || panic!("the replacement hits"));
+        assert!(hit);
+        assert_eq!(*v, Json::Num(43.0));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn second_cache_hits_every_entry() {
+        let dir = store_dir("second");
+        let n = 2 * SEGMENT_RECORDS + 3;
+        let writer = Cache::new(Some(dir.clone()), CacheMode::On);
         for i in 0..n {
-            cache.get_or_compute(key_of(&Json::Num(i as f64), 1), || Json::Num(i as f64));
+            writer.get_or_compute(num_key(i), || Json::Num(i as f64));
         }
-        let st = cache.state.lock().unwrap();
-        assert_eq!(st.disk_walks, 1, "{n} inserts far below capacity");
-        assert_eq!(st.disk_entries, n as usize);
-        drop(st);
+        assert_eq!(
+            store(&writer).records(),
+            n,
+            "{n} inserts far below capacity"
+        );
+        assert_eq!(
+            segment_files(&dir).len(),
+            3,
+            "rolled every {SEGMENT_RECORDS}"
+        );
+
+        let reader = Cache::new(Some(dir.clone()), CacheMode::On);
+        for i in 0..n {
+            let (v, hit) = reader.get_or_compute(num_key(i), || panic!("entry {i} must hit"));
+            assert!(hit);
+            assert_eq!(*v, Json::Num(i as f64));
+        }
+        assert_eq!(store(&reader).records(), n);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flipped_payload_byte_is_a_miss_and_its_replacement_wins() {
+        let dir = store_dir("flip");
+        let (bad, good) = (num_key(1), num_key(2));
+        let writer = Cache::new(Some(dir.clone()), CacheMode::On);
+        writer.get_or_compute(bad, || Json::Num(1234.0));
+        writer.get_or_compute(good, || Json::Num(5.0));
+
+        // "1234" becomes "7234": still valid JSON, so only the checksum
+        // can tell.
+        let [segment] = &segment_files(&dir)[..] else {
+            panic!("one writer, one segment");
+        };
+        let mut bytes = std::fs::read(segment).unwrap();
+        assert_eq!(&bytes[HEADER_LEN..HEADER_LEN + 4], b"1234");
+        bytes[HEADER_LEN] = b'7';
+        std::fs::write(segment, &bytes).unwrap();
+
+        let reader = Cache::new(Some(dir.clone()), CacheMode::On);
+        let (v, hit) = reader.get_or_compute(bad, || Json::Num(1234.0));
+        assert!(!hit, "a record failing its checksum is a miss");
+        assert_eq!(*v, Json::Num(1234.0));
+        let (_, hit) = reader.get_or_compute(good, || panic!("the intact record hits"));
+        assert!(hit);
+        assert_eq!(
+            std::fs::read(segment).unwrap(),
+            bytes,
+            "a reader never rewrites a segment"
+        );
+
+        let reopened = Cache::new(Some(dir.clone()), CacheMode::On);
+        let (v, hit) = reopened.get_or_compute(bad, || panic!("the replacement must win"));
+        assert!(hit);
+        assert_eq!(*v, Json::Num(1234.0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn truncated_last_record_is_a_miss_and_earlier_records_hit() {
+        let dir = store_dir("torn");
+        let writer = Cache::new(Some(dir.clone()), CacheMode::On);
+        for i in 0..3 {
+            writer.get_or_compute(num_key(i), || Json::Num(i as f64));
+        }
+        let last = store(&writer).index[&num_key(2)];
+        drop(writer);
+        let [segment] = &segment_files(&dir)[..] else {
+            panic!("one writer, one segment");
+        };
+        // Cut inside the last payload, then inside the last header.
+        for cut in [last.offset + last.len - 1, last.offset + 10] {
+            File::options()
+                .write(true)
+                .open(segment)
+                .unwrap()
+                .set_len(cut)
+                .unwrap();
+            let reader = Cache::new(Some(dir.clone()), CacheMode::On);
+            for i in 0..2 {
+                let (v, hit) = reader.get_or_compute(num_key(i), || panic!("{i} must hit"));
+                assert!(hit);
+                assert_eq!(*v, Json::Num(i as f64));
+            }
+            assert!(matches!(reader.fetch(num_key(2)), Fetch::Miss(_)));
+            assert_eq!(
+                std::fs::metadata(segment).unwrap().len(),
+                cut,
+                "a scan never truncates a segment"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_segment_files_and_legacy_shards_are_ignored() {
+        let dir = store_dir("foreign");
+        let key = key_of(&Json::Str("foreign".into()), 1);
+        let hex = key.hex();
+        // A store from before segment logs: one file per entry.
+        std::fs::create_dir_all(dir.join(&hex[..2])).unwrap();
+        let legacy = dir.join(&hex[..2]).join(format!("{hex}.json"));
+        std::fs::write(
+            &legacy,
+            format!("{{\"key\": \"{hex}\", \"compute_ms\": 1, \"value\": 666}}"),
+        )
+        .unwrap();
+        // A well-formed record under a name that is not a segment's.
+        let record = encode_record(&key, 1.0, b"666");
+        std::fs::write(dir.join("notes.seg"), &record).unwrap();
+        std::fs::write(dir.join("0123456789abcdef-0000abcd.log"), &record).unwrap();
+        // Segment-named garbage, and a segment-named directory.
+        std::fs::write(dir.join("0123456789abcdef-0000abcd.seg"), b"not a record").unwrap();
+        std::fs::create_dir_all(dir.join("0123456789abcdee-0000abcd.seg")).unwrap();
+
+        let cache = Cache::new(Some(dir.clone()), CacheMode::On);
+        let (v, hit) = cache.get_or_compute(key, || Json::Num(7.0));
+        assert!(!hit, "only segment records are read");
+        assert_eq!(*v, Json::Num(7.0));
+        assert_eq!(store(&cache).records(), 1, "nothing but the new record");
+        assert!(legacy.exists() && dir.join("notes.seg").exists());
+
+        let (v, hit) = Cache::new(Some(dir.clone()), CacheMode::On)
+            .get_or_compute(key, || panic!("the new record hits"));
+        assert!(hit);
+        assert_eq!(*v, Json::Num(7.0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_writers_leave_a_complete_store() {
+        let dir = store_dir("concurrent");
+        // Keys 0..150 from one writer, 100..250 from the other: the
+        // overlap is written twice, identically. Both writers have
+        // created their segments before either appends the rest.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for from in [0, 100] {
+                let (dir, start) = (dir.clone(), &start);
+                s.spawn(move || {
+                    let cache = Cache::new(Some(dir), CacheMode::On);
+                    cache.get_or_compute(num_key(from), || Json::Num(from as f64));
+                    start.wait();
+                    for i in from + 1..from + 150 {
+                        cache.get_or_compute(num_key(i), || Json::Num(i as f64));
+                    }
+                });
+            }
+        });
+        assert_eq!(segment_files(&dir).len(), 2, "one segment per writer");
+        let reader = Cache::new(Some(dir.clone()), CacheMode::On);
+        for i in 0..250 {
+            let (v, hit) = reader.get_or_compute(num_key(i), || panic!("entry {i} must hit"));
+            assert!(hit);
+            assert_eq!(*v, Json::Num(i as f64));
+        }
+        assert_eq!(store(&reader).records(), 300);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn prune_keeps_the_newest_entries_up_to_capacity() {
-        let dir = std::env::temp_dir().join(format!("bc-cache-prune-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = Cache::new(Some(dir.clone()), CacheMode::On);
-        let keys: Vec<CacheKey> = (0..10u64)
-            .map(|i| key_of(&Json::Num(i as f64), 1))
-            .collect();
-        let epoch = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000);
-        for (i, &k) in keys.iter().enumerate() {
-            cache.get_or_compute(k, || Json::Num(i as f64));
-            // Distinct, increasing mtimes: key i is the i-th oldest.
-            let f = std::fs::File::options()
-                .write(true)
-                .open(Cache::entry_path(&dir, &k))
-                .unwrap();
-            f.set_modified(epoch + std::time::Duration::from_secs(i as u64))
-                .unwrap();
+        let dir = store_dir("prune");
+        // Five writers of two entries each: five segments, oldest first.
+        for seg in 0..5 {
+            let cache = Cache::new(Some(dir.clone()), CacheMode::On);
+            for i in 2 * seg..2 * seg + 2 {
+                cache.get_or_compute(num_key(i), || Json::Num(i as f64));
+            }
         }
-        assert_eq!(prune_dir(&dir, 20), 10, "under capacity: nothing removed");
-        assert_eq!(prune_dir(&dir, 4), 4);
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(
-                Cache::entry_path(&dir, k).exists(),
-                i >= 6,
-                "entry {i} of 10 after pruning to 4"
-            );
+        assert_eq!(segment_files(&dir).len(), 5);
+
+        let pruner = Cache::new(Some(dir.clone()), CacheMode::On);
+        store(&pruner).prune(20);
+        assert_eq!(
+            segment_files(&dir).len(),
+            5,
+            "under capacity: nothing removed"
+        );
+        // Whole segments go, and never below the capacity: 6 records
+        // hold 5, and removing another segment would leave 4.
+        store(&pruner).prune(5);
+        assert_eq!(segment_files(&dir).len(), 3);
+        store(&pruner).prune(4);
+        assert_eq!(segment_files(&dir).len(), 2);
+        assert_eq!(store(&pruner).records(), 4);
+        for i in 0..10 {
+            let (_, hit) = pruner.get_or_compute(num_key(i), || Json::Num(i as f64));
+            assert_eq!(hit, i >= 6, "entry {i} of 10 after pruning to 4");
         }
-        assert_eq!(prune_dir(&dir.join("missing"), 4), 0);
+        // The pruner's own segment (the newest, holding entries 0..6
+        // again) survives any capacity.
+        store(&pruner).prune(0);
+        let files = segment_files(&dir);
+        assert_eq!(files.len(), 1);
+        assert_eq!(store(&pruner).segments[0].path, files[0]);
+
+        let missing = Cache::new(Some(dir.join("missing")), CacheMode::On);
+        store(&missing).prune(4);
+        assert_eq!(store(&missing).records(), 0);
+        assert!(!dir.join("missing").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checksum_catches_every_single_byte_change() {
+        let key = num_key(3);
+        let record = encode_record(&key, 2.5, b"[1,2,3]");
+        assert!(decode_record(&record, &key).is_ok());
+        for at in 0..record.len() {
+            let mut bad = record.clone();
+            bad[at] ^= 0x20;
+            assert!(decode_record(&bad, &key).is_err(), "byte {at}");
+        }
     }
 
     #[test]

@@ -345,6 +345,16 @@ impl Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that record violations, so the exact
+    /// [`violations_total`] delta one of them asserts cannot count
+    /// another's.
+    static RECORDING: Mutex<()> = Mutex::new(());
+
+    fn recording() -> MutexGuard<'static, ()> {
+        RECORDING.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn enabled_in_test_builds() {
@@ -365,6 +375,7 @@ mod tests {
 
     #[test]
     fn failing_checks_record_with_context() {
+        let _recording = recording();
         let before = violations_total();
         let mut o = Oracle::new("sim::oracle::tests", 0xBEEF);
         o.check_eq_i128(
@@ -390,6 +401,7 @@ mod tests {
 
     #[test]
     fn tie_break_is_stamped_into_replay_lines() {
+        let _recording = recording();
         let mut o =
             Oracle::new("sim::oracle::tests", 0xABC).with_tie_break(TieBreak::Permuted(0x55));
         assert_eq!(o.tie_break(), TieBreak::Permuted(0x55));
@@ -416,6 +428,7 @@ mod tests {
 
     #[test]
     fn nan_fails_the_ceiling_check() {
+        let _recording = recording();
         let mut o = Oracle::new("sim::oracle::tests", 1);
         o.check_le_f64(
             Invariant::BudgetCeiling,
@@ -429,6 +442,7 @@ mod tests {
 
     #[test]
     fn time_regression_is_caught() {
+        let _recording = recording();
         let mut o = Oracle::new("sim::oracle::tests", 1);
         o.check_time_monotonic(5, 1000, 999);
         assert_eq!(o.count(), 1);
@@ -437,6 +451,7 @@ mod tests {
 
     #[test]
     fn kept_violations_are_capped_but_count_is_not() {
+        let _recording = recording();
         let mut o = Oracle::new("sim::oracle::tests", 1);
         for c in 0..(MAX_KEPT as u64 + 10) {
             o.check_eq_i128(Invariant::FlitConservation, c, || format!("link {c}"), 0, 1);
