@@ -167,6 +167,22 @@ fn sim_kernels(c: &mut Criterion) {
             black_box(q.pop())
         })
     });
+    // the ring-handoff pattern (a TokenSmart token hopping stop to stop):
+    // a few far-future events pending, and each step pops the earliest
+    // and schedules its successor ahead of all of them, which the queue's
+    // front slot serves without touching the heap
+    c.bench_function("kernel/event_queue_successor", |b| {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for j in 0..8u64 {
+            q.schedule(SimTime::from_ps(u64::MAX - j), j);
+        }
+        q.schedule(SimTime::ZERO, 0);
+        b.iter(|| {
+            let ev = q.pop().expect("the chain never runs dry");
+            q.schedule(ev.time + SimTime::from_noc_cycles(1), ev.payload + 1);
+            black_box(ev.payload)
+        })
+    });
     c.bench_function("kernel/step_trace_record_query", |b| {
         let mut tr = StepTrace::new("bench");
         let mut t = 0u64;

@@ -9,7 +9,8 @@
 //! on the cache's in-flight claim: exactly one computation runs, every
 //! waiter receives its result. Disjoint requests never queue behind each
 //! other; each connection is served on its own thread and blocks only on
-//! the specific keys it asked for.
+//! the specific keys it asked for. At most [`MAX_CONNECTIONS`] are served
+//! at once; the accept loop answers any connection past that with `503`.
 //!
 //! The protocol is deliberately minimal and versioned:
 //!
@@ -26,6 +27,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,6 +54,10 @@ pub const MAX_FRAMES: usize = 64;
 /// stalls this long in one read or write is disconnected, so a slow or
 /// silent client cannot hold a connection thread open for good.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
+/// Most connections served at once. Past it the accept loop answers
+/// `503` with `Retry-After` itself and spawns no handler thread, so a
+/// flood of connections cannot grow the thread count without bound.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// A sweep submission: the full grid
 /// `managers × budgets_mw × seeds` over one SoC floorplan and workload.
@@ -239,14 +245,29 @@ impl Server {
     }
 
     /// Serves `listener` forever, one thread per connection, each
-    /// stream with [`IO_TIMEOUT`] for reads and writes. Connection
-    /// errors are logged and never take the server down.
+    /// stream with [`IO_TIMEOUT`] for reads and writes. At most
+    /// [`MAX_CONNECTIONS`] are served at once; a connection past that is
+    /// answered `503` from the accept loop and closed. Connection errors
+    /// are logged and never take the server down.
     pub fn serve(&self, listener: TcpListener) {
+        let active = Arc::new(AtomicUsize::new(0));
         for conn in listener.incoming() {
             match conn {
                 Ok(stream) => {
+                    // Only this loop increments, so the check cannot race
+                    // past the cap; handlers only ever free slots. The
+                    // count publishes no other data, hence `Relaxed`.
+                    if active.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+                        if let Err(e) = respond_busy(stream) {
+                            eprintln!("blitzcoin-serve: connection error: {e}");
+                        }
+                        continue;
+                    }
+                    active.fetch_add(1, Ordering::Relaxed);
+                    let slot = ConnectionSlot(Arc::clone(&active));
                     let cache = Arc::clone(&self.cache);
                     std::thread::spawn(move || {
+                        let _slot = slot;
                         let served = stream
                             .set_read_timeout(Some(IO_TIMEOUT))
                             .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)))
@@ -259,6 +280,16 @@ impl Server {
                 Err(e) => eprintln!("blitzcoin-serve: accept error: {e}"),
             }
         }
+    }
+}
+
+/// One counted connection; frees its place under [`MAX_CONNECTIONS`]
+/// when the handler ends, however it ends.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -373,17 +404,36 @@ fn respond_json(mut stream: TcpStream, body: &str) -> std::io::Result<()> {
     stream.flush()
 }
 
+/// Answers `503` on the accept loop's thread. Whatever of the request
+/// has already arrived is drained first (without waiting for more), so
+/// closing does not reset the connection before the client reads the
+/// answer.
+fn respond_busy(mut stream: TcpStream) -> std::io::Result<()> {
+    stream.set_nonblocking(true)?;
+    let mut sink = [0u8; 4096];
+    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    stream.set_nonblocking(false)?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    respond_error(
+        stream,
+        503,
+        &format!("server busy: {MAX_CONNECTIONS} connections in progress"),
+    )
+}
+
 fn respond_error(mut stream: TcpStream, status: u16, message: &str) -> std::io::Result<()> {
-    let reason = match status {
-        400 => "Bad Request",
-        404 => "Not Found",
-        413 => "Content Too Large",
-        _ => "Error",
+    // A busy server tells the client to retry after a second.
+    let (reason, retry) = match status {
+        400 => ("Bad Request", ""),
+        404 => ("Not Found", ""),
+        413 => ("Content Too Large", ""),
+        503 => ("Service Unavailable", "Retry-After: 1\r\n"),
+        _ => ("Error", ""),
     };
     let body = format!("{{\"error\": {}}}", Json::Str(message.to_string()));
     write!(
         stream,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "HTTP/1.1 {status} {reason}\r\n{retry}Content-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )?;
     stream.flush()

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use std::thread;
 
 use blitzcoin_serve::{
-    client, Server, SweepRequest, IO_TIMEOUT, MAX_FRAMES, MAX_GRID_POINTS, MAX_HEAD_BYTES,
-    PROTOCOL_VERSION,
+    client, Server, SweepRequest, IO_TIMEOUT, MAX_CONNECTIONS, MAX_FRAMES, MAX_GRID_POINTS,
+    MAX_HEAD_BYTES, PROTOCOL_VERSION,
 };
 use blitzcoin_sim::Cache;
 
@@ -276,4 +276,81 @@ fn oversized_inputs_are_refused_before_any_work() {
         ..grid(vec![1, 2])
     };
     assert_eq!(blitzcoin_serve::grid_size(&bench), Ok(24));
+}
+
+#[test]
+fn deeply_nested_body_is_a_400_and_the_server_lives_on() {
+    let (cache, addr) = start_server();
+
+    // 10 KB of `[`: far under the body cap, but deep enough to overflow
+    // a recursive parser's stack and abort the whole process.
+    let body = "[".repeat(10_000);
+    let mut request = format!(
+        "POST /v1/sweep HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(body.as_bytes());
+    let reply = raw_exchange(addr, &request);
+    assert!(reply.starts_with("HTTP/1.1 400"), "got: {reply}");
+    assert!(reply.contains("nesting"), "got: {reply}");
+
+    let reply = raw_exchange(
+        addr,
+        b"GET /v1/health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    );
+    assert!(reply.starts_with("HTTP/1.1 200"), "got: {reply}");
+    assert_eq!(cache.stats().misses, 0);
+}
+
+#[test]
+fn connections_past_the_cap_get_503_until_the_stalled_ones_time_out() {
+    use std::io::{Read, Write};
+    use std::time::Duration;
+    let (_cache, addr) = start_server();
+
+    // Fill every connection slot with a client that sends half a head and
+    // stalls. The accept loop counts each before it accepts the next, so
+    // once all of these are connected the cap is reached.
+    let stalled: Vec<std::net::TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut s = std::net::TcpStream::connect(addr).expect("connect");
+            s.write_all(b"GET /v1/health HTTP/1.1\r\nHo").unwrap();
+            s
+        })
+        .collect();
+
+    // One more connection is refused from the accept loop, unprompted
+    // and with a retry hint. (It sends nothing, so the server's close
+    // can never race unread request bytes into a reset.)
+    let mut extra = std::net::TcpStream::connect(addr).expect("connect");
+    extra
+        .set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(10)))
+        .unwrap();
+    let mut reply = String::new();
+    extra.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 503"), "got: {reply}");
+    assert!(reply.contains("Retry-After: "), "got: {reply}");
+
+    // The stalled clients are hung up on after IO_TIMEOUT, which frees
+    // their slots, and a sweep is answered again. A handler frees its
+    // slot just after its socket closes, so the first try may still
+    // meet a full house; a slot that is never freed fails every retry.
+    for mut s in stalled {
+        s.set_read_timeout(Some(IO_TIMEOUT + Duration::from_secs(10)))
+            .unwrap();
+        let mut rest = Vec::new();
+        let _ = s.read_to_end(&mut rest);
+        assert!(rest.is_empty(), "nothing is answered to half a head");
+    }
+    let mut answer = client::submit(addr, &grid(vec![41]));
+    for _ in 0..20 {
+        if answer.is_ok() {
+            break;
+        }
+        thread::sleep(Duration::from_millis(50));
+        answer = client::submit(addr, &grid(vec![41]));
+    }
+    let (resp, _) = answer.expect("sweep after the stall");
+    assert_eq!(resp.points.len(), 2);
 }

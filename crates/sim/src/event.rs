@@ -6,12 +6,29 @@
 //! always produce the same run. Events scheduled at the same timestamp are
 //! therefore delivered in FIFO order of scheduling, never in heap order.
 //!
-//! The heap stores `(time, seq)` packed into one `u128` key — lexical
+//! Entries carry `(time, seq)` packed into one `u128` key — lexical
 //! order on the pair and integer order on the packed key are the same
-//! order, so every sift compares a single integer instead of chaining two
-//! `cmp`s. This is the hottest comparison in the whole simulator (every
-//! schedule and pop sifts through it), which is why it gets the packed
-//! representation.
+//! order, so every comparison is a single integer compare instead of two
+//! chained `cmp`s. This is the hottest comparison in the whole simulator,
+//! which is why it gets the packed representation.
+//!
+//! # Front slot
+//!
+//! Beside the binary heap sits a one-entry *front slot*: it holds the
+//! last event scheduled ahead of everything pending, until that event is
+//! popped or displaced. Invariant: when the slot is occupied, its key is
+//! ≤ every key in the heap. `schedule` puts a new entry in the slot
+//! only when its key is smaller than both the slot's and the heap
+//! minimum's, pushing any displaced slot entry into the heap; `pop` takes
+//! the slot first and falls back to the heap. The common engine pattern
+//! — pop an event, schedule its successor ahead of everything else
+//! pending (a TokenSmart token hopping ring stop to ring stop) — then
+//! never sifts the heap at all. Keys are compared after
+//! [`TieBreak`] encoding, so the pop order is exactly the heap-only
+//! order in every mode. `clear` and `reset` empty the slot with the
+//! heap: the engine recycles queues across runs, and a settled run stops
+//! with events still pending, so a stale slot entry would otherwise leak
+//! into the next run as its first pop.
 //!
 //! # Tie-break fuzzing
 //!
@@ -22,7 +39,7 @@
 //! (the default, bit-identical to the historical behaviour), [`Lifo`],
 //! and [`Permuted`] (a keyed bijection of the sequence bits that
 //! deterministically shuffles only same-timestamp batches). The mode is
-//! applied when the key is *packed*, so the hot sift path stays a single
+//! applied when the key is *packed*, so the hot path stays a single
 //! `u128` comparison in every mode, and the sequence number decodes back
 //! exactly on pop. The [`crate::interleave`] harness runs a simulation
 //! across many `Permuted` seeds and asserts its invariants hold under
@@ -243,6 +260,9 @@ impl<E> Ord for HeapEntry<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
+    /// The earliest pending entry when it was scheduled ahead of every
+    /// other; its key is ≤ every key in `heap`. See the module docs.
+    front: Option<HeapEntry<E>>,
     heap: BinaryHeap<HeapEntry<E>>,
     next_seq: u64,
     scheduled_total: u64,
@@ -265,6 +285,7 @@ impl<E> EventQueue<E> {
     /// reallocates.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
+            front: None,
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
             scheduled_total: 0,
@@ -287,7 +308,7 @@ impl<E> EventQueue<E> {
     /// Panics if events are pending.
     pub fn set_tie_break(&mut self, tie: TieBreak) {
         assert!(
-            self.heap.is_empty(),
+            self.is_empty(),
             "tie-break policy can only change while the queue is empty"
         );
         self.tie = tie;
@@ -310,35 +331,52 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        self.heap.push(HeapEntry {
+        let entry = HeapEntry {
             key: pack(time, self.tie.encode(seq)),
             payload,
-        });
+        };
+        // An occupied slot is already ≤ the heap minimum, so beating it
+        // is enough; an empty slot must be won against the heap itself.
+        let ahead = match &self.front {
+            Some(front) => entry.key < front.key,
+            None => self.heap.peek().is_none_or(|min| entry.key < min.key),
+        };
+        if !ahead {
+            self.heap.push(entry);
+        } else if let Some(displaced) = self.front.replace(entry) {
+            self.heap.push(displaced);
+        }
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let tie = self.tie;
-        self.heap.pop().map(|e| ScheduledEvent {
-            time: e.time(),
-            seq: tie.decode(e.seq()),
-            payload: e.payload,
-        })
+        self.front
+            .take()
+            .or_else(|| self.heap.pop())
+            .map(|e| ScheduledEvent {
+                time: e.time(),
+                seq: tie.decode(e.seq()),
+                payload: e.payload,
+            })
     }
 
     /// The firing time of the earliest event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(HeapEntry::time)
+        self.front
+            .as_ref()
+            .or_else(|| self.heap.peek())
+            .map(HeapEntry::time)
     }
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + usize::from(self.front.is_some())
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.front.is_none() && self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled (pending or already popped).
@@ -354,6 +392,7 @@ impl<E> EventQueue<E> {
     /// schedule stream yields different `seq` values, which changes the
     /// pop order under any non-FIFO [`TieBreak`].
     pub fn clear(&mut self) {
+        self.front = None;
         self.heap.clear();
     }
 
@@ -365,6 +404,7 @@ impl<E> EventQueue<E> {
     /// trial. Contrast with [`EventQueue::clear`], which preserves the
     /// counters.
     pub fn reset(&mut self) {
+        self.front = None;
         self.heap.clear();
         self.next_seq = 0;
         self.scheduled_total = 0;
@@ -541,6 +581,7 @@ mod tests {
     #[should_panic(expected = "tie-break policy can only change")]
     fn tie_break_change_requires_empty_queue() {
         let mut q = EventQueue::new();
+        // the only pending event sits in the front slot, not the heap
         q.schedule(SimTime::ZERO, ());
         q.set_tie_break(TieBreak::Lifo);
     }
