@@ -10,6 +10,7 @@ use blitzcoin_noc::{
     Network, NetworkConfig, Packet, PacketKind, Plane, RoundRobinArbiter, TileId, Topology,
 };
 use blitzcoin_power::{AcceleratorClass, CoinLut, PowerModel, Uvfr, UvfrConfig};
+use blitzcoin_sim::rng::splitmix64;
 use blitzcoin_sim::{EventQueue, SimRng, SimTime, StepTrace, TieBreak};
 use std::hint::black_box;
 
@@ -121,52 +122,51 @@ fn power_kernels(c: &mut Criterion) {
     });
 }
 
+/// A time 1..=8192 NoC cycles (pseudo-random) after the earliest pending
+/// event: the entry never becomes the queue minimum, so it enters the
+/// heap rather than the front slot, and every pop sifts the heap.
+fn behind_min(q: &EventQueue<u64>, i: u64) -> SimTime {
+    let min = q.peek_time().unwrap_or(SimTime::ZERO);
+    min + SimTime::from_noc_cycles(1 + splitmix64(i) % 8192)
+}
+
 fn sim_kernels(c: &mut Criterion) {
     c.bench_function("kernel/event_queue_schedule_pop", |b| {
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            q.schedule(SimTime::from_noc_cycles(i % 1024), i);
+            q.schedule(behind_min(&q, i), i);
             if q.len() > 64 {
                 black_box(q.pop());
             }
         })
     });
     // steady-state schedule+pop with a deep heap: sift cost grows with
-    // log(pending), so the two depths bracket small and huge SoC runs
-    for pending in [1_000usize, 100_000] {
-        c.bench_function(format!("kernel/event_queue_schedule_pop_{pending}"), |b| {
+    // log(pending), so the two depths bracket small and huge SoC runs;
+    // the fuzzing tie-break must cost nothing on the default path (the
+    // FIFO `_1000` bench is the baseline) and only two extra splitmix
+    // rounds per event when shuffling
+    for (suffix, pending, tie) in [
+        ("1000", 1_000, TieBreak::Fifo),
+        ("100000", 100_000, TieBreak::Fifo),
+        ("1000_permuted", 1_000, TieBreak::Permuted(0x5EED)),
+    ] {
+        c.bench_function(format!("kernel/event_queue_schedule_pop_{suffix}"), |b| {
             let mut q: EventQueue<u64> = EventQueue::with_capacity(pending + 1);
+            q.set_tie_break(tie);
             let mut i = 0u64;
             while q.len() < pending {
                 i += 1;
-                q.schedule(SimTime::from_noc_cycles(i % 8192), i);
+                q.schedule(behind_min(&q, i), i);
             }
             b.iter(|| {
                 i += 1;
-                q.schedule(SimTime::from_noc_cycles(i % 8192), i);
+                q.schedule(behind_min(&q, i), i);
                 black_box(q.pop())
             })
         });
     }
-    // the fuzzing tie-break must cost nothing on the default path (the
-    // `_1000` bench above IS the FIFO baseline) and only two extra
-    // splitmix rounds per event when shuffling
-    c.bench_function("kernel/event_queue_schedule_pop_1000_permuted", |b| {
-        let mut q: EventQueue<u64> = EventQueue::with_capacity(1_001);
-        q.set_tie_break(TieBreak::Permuted(0x5EED));
-        let mut i = 0u64;
-        while q.len() < 1_000 {
-            i += 1;
-            q.schedule(SimTime::from_noc_cycles(i % 8192), i);
-        }
-        b.iter(|| {
-            i += 1;
-            q.schedule(SimTime::from_noc_cycles(i % 8192), i);
-            black_box(q.pop())
-        })
-    });
     // the ring-handoff pattern (a TokenSmart token hopping stop to stop):
     // a few far-future events pending, and each step pops the earliest
     // and schedules its successor ahead of all of them, which the queue's

@@ -2,7 +2,8 @@
 //!
 //! The bench targets (`benches/*.rs`, `harness = false`) drive this via
 //! [`crate::criterion_group!`]/[`crate::criterion_main!`], so a bench
-//! function written for Criterion needs only its import line changed.
+//! function written against Criterion's `bench_function`/`iter` needs
+//! only its import line changed.
 //! Measurement is deliberately simple: warm up by doubling the iteration
 //! count until the batch takes long enough to time reliably, then run
 //! several scaled measurement batches and report the fastest batch's
@@ -14,7 +15,7 @@
 //!
 //! CLI: a bare argument filters benchmarks by substring; `--test` runs
 //! each benchmark body once without timing (smoke mode, what
-//! `cargo test --benches` passes); `--bench` is accepted and ignored.
+//! `cargo test --benches` passes); other `--` flags are ignored.
 
 use std::time::{Duration, Instant};
 
@@ -91,7 +92,6 @@ impl Criterion {
         for arg in std::env::args().skip(1) {
             match arg.as_str() {
                 "--test" => smoke = true,
-                "--bench" | "--verbose" | "--quiet" => {}
                 a if a.starts_with("--") => {}
                 a => filter = Some(a.to_string()),
             }
@@ -109,12 +109,6 @@ impl Criterion {
             ran: 0,
             record,
         }
-    }
-
-    /// Whether the harness is in `--test` smoke mode (bodies run once,
-    /// nothing is timed).
-    pub fn is_smoke(&self) -> bool {
-        self.smoke
     }
 
     fn record_line(&mut self, name: &str, value: f64, unit: &str) {
@@ -171,14 +165,6 @@ impl Criterion {
         self.record_line(&name, value, unit);
     }
 
-    /// Opens a named benchmark group (names become `group/bench`).
-    pub fn benchmark_group(&mut self, name: impl std::fmt::Display) -> Group<'_> {
-        Group {
-            c: self,
-            prefix: name.to_string(),
-        }
-    }
-
     /// Prints the run summary.
     pub fn summary(&self) {
         println!(
@@ -187,69 +173,6 @@ impl Criterion {
             if self.ran == 1 { "" } else { "s" },
             if self.smoke { " (smoke mode)" } else { "" }
         );
-    }
-}
-
-/// A group of related benchmarks sharing a name prefix.
-#[derive(Debug)]
-pub struct Group<'a> {
-    c: &'a mut Criterion,
-    prefix: String,
-}
-
-impl Group<'_> {
-    /// Accepted for Criterion compatibility; sampling here is adaptive.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Runs one benchmark inside the group; returns ns/iter as
-    /// [`Criterion::bench_function`] does.
-    pub fn bench_function<F>(&mut self, name: impl std::fmt::Display, f: F) -> f64
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{}", self.prefix, name);
-        self.c.bench_function(full, f)
-    }
-
-    /// Runs one parameterized benchmark inside the group.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> f64
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.bench_function(id, |b| f(b, input))
-    }
-
-    /// Ends the group (no-op, for API compatibility).
-    pub fn finish(self) {}
-}
-
-/// A benchmark name with an attached parameter, rendered `name/param`.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    text: String,
-}
-
-impl BenchmarkId {
-    /// A name/parameter pair.
-    pub fn new(name: impl std::fmt::Display, param: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            text: format!("{name}/{param}"),
-        }
-    }
-
-    /// A bare parameter used as the whole name.
-    pub fn from_parameter(param: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            text: param.to_string(),
-        }
-    }
-}
-
-impl std::fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.text)
     }
 }
 
@@ -324,11 +247,5 @@ mod tests {
         assert!(format_ns(12_300.0).contains("µs"));
         assert!(format_ns(12_300_000.0).contains("ms"));
         assert!(format_ns(2.0e9).contains(" s"));
-    }
-
-    #[test]
-    fn benchmark_id_rendering() {
-        assert_eq!(BenchmarkId::new("conv", 12).to_string(), "conv/12");
-        assert_eq!(BenchmarkId::from_parameter(2.5).to_string(), "2.5");
     }
 }

@@ -457,14 +457,18 @@ impl Parser<'_> {
         }
     }
 
+    /// Exactly four ASCII hex digits (`from_str_radix` would also take a
+    /// leading `+`, reading `\u+041` as `A`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
         let hex = self
             .bytes
             .get(self.pos..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
             .ok_or_else(|| JsonError::new("truncated \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| JsonError::new("bad \\u escape"))?;
+        let v = hex
+            .iter()
+            .try_fold(0, |v, &b| Some(v << 4 | char::from(b).to_digit(16)?))
+            .ok_or_else(|| JsonError::new("bad \\u escape"))?;
         self.pos = end;
         Ok(v)
     }
@@ -761,6 +765,8 @@ macro_rules! json_unit_enum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::forall;
+    use crate::{ensure, SimRng};
 
     #[test]
     fn parse_roundtrip_document() {
@@ -809,6 +815,76 @@ mod tests {
         assert_eq!(v.as_str(), Some("é😀"));
         let round = Json::parse(&v.to_string()).unwrap();
         assert_eq!(v, round);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u04g1""#, r#""\u04""#] {
+            assert!(Json::parse(bad).is_err(), "{bad} parsed");
+        }
+    }
+
+    fn any_string(rng: &mut SimRng) -> String {
+        const CHARS: [char; 8] = ['a', '"', '\\', '\n', '\u{1}', '/', 'é', '😀'];
+        (0..rng.range_usize(0..6))
+            .map(|_| *rng.choose(&CHARS))
+            .collect()
+    }
+
+    /// Nested arrays and objects of escaped strings, integers past 2^53
+    /// and floats across the exponent range.
+    fn any_json(rng: &mut SimRng, depth: u32) -> Json {
+        let n = rng.range_usize(0..4);
+        match rng.range_usize(0..if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.chance(0.5)),
+            2 => Json::Num((rng.next_u64() >> rng.range_u64(0..12)) as f64),
+            3 => Json::Num((rng.unit_f64() - 0.5) * 10f64.powi(rng.range_i64(-300..300) as i32)),
+            4 => Json::Str(any_string(rng)),
+            5 => Json::Arr((0..n).map(|_| any_json(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..n)
+                    .map(|_| (any_string(rng), any_json(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn forall_parse_round_trips_and_never_panics_on_damaged_input() {
+        forall("json parse: round trip, truncation, mutation", 32, |rng| {
+            let v = any_json(rng, 4);
+            ensure!(Json::parse(&v.to_string()).as_ref() == Ok(&v), "{v}");
+            // The printer writes no surrogate-pair escapes and no integer
+            // literal past 2^53, so the damaged document adds them.
+            let doc = format!(
+                r#"{{"v": {v}, "esc": "\ud83d\ude00\u00e9\"", "big": 18446744073709551615}}"#
+            );
+            let expect = Json::Obj(vec![
+                ("v".into(), v),
+                ("esc".into(), Json::Str("😀é\"".into())),
+                ("big".into(), Json::Num(2f64.powi(64))),
+            ]);
+            ensure!(Json::parse(&doc) == Ok(expect), "{doc}");
+            // every proper prefix of an object is incomplete
+            for (k, _) in doc.char_indices() {
+                ensure!(Json::parse(&doc[..k]).is_err(), "prefix {k} parsed");
+            }
+            let mut bytes = doc.into_bytes();
+            for i in 0..bytes.len() {
+                let noise = if rng.chance(0.5) {
+                    *rng.choose(b"\"\\[]{},:u0-+.e ")
+                } else {
+                    rng.next_u32() as u8
+                };
+                let keep = std::mem::replace(&mut bytes[i], noise);
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    let _ = Json::parse(text);
+                }
+                bytes[i] = keep;
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -5,7 +5,9 @@
 #   scripts/bench.sh --gate-selftest    # exercise the gate math on synthetic JSON
 #
 # Runs the per-policy throughput bench and the kernel microbenchmarks in
-# release mode and collects every reported metric into OUT. Both defaults
+# release mode and collects every reported metric into OUT, plus
+# `loc/rust`, the non-blank line count of the tracked Rust sources
+# (informational, not gated). Both defaults
 # follow the highest committed snapshot BENCH_N.json: OUT defaults to
 # BENCH_<N+1>.json at the repo root (so a bare run never overwrites a
 # committed snapshot) and BASELINE to BENCH_N.json. If BASELINE exists,
@@ -173,6 +175,9 @@ cargo build -q --release --offline -p blitzcoin-bench --benches
 
 BLITZCOIN_BENCH_OUT="$tsv" cargo bench -q --offline -p blitzcoin-bench --bench policies
 BLITZCOIN_BENCH_OUT="$tsv" cargo bench -q --offline -p blitzcoin-bench --bench kernels
+if loc=$(git ls-files '*.rs' 2>/dev/null | xargs cat | grep -cv '^[[:space:]]*$'); then
+    printf 'loc/rust\t%s\tlines\n' "$loc" >> "$tsv"
+fi
 
 rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 # A snapshot taken with uncommitted changes does not measure HEAD.

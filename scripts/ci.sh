@@ -26,11 +26,13 @@ if grep -rn "match .*manager" crates/soc/src/engine.rs crates/soc/src/engine/; t
     exit 1
 fi
 
-# Bench smoke gate: every benchmark body must still run (--test mode
-# executes each body once without timing), so a bench target that rots
-# fails here instead of on the next scripts/bench.sh snapshot.
-cargo bench -q --offline -p blitzcoin-bench --bench policies -- --test
-cargo bench -q --offline -p blitzcoin-bench --bench kernels -- --test
+# Bench smoke gate: every benchmark body of every bench target must
+# still run (--test mode executes each body once without timing), so a
+# bench target that rots fails here instead of on the next
+# scripts/bench.sh snapshot, and none can be added that never runs.
+for bench in crates/bench/benches/*.rs; do
+    cargo bench -q --offline -p blitzcoin-bench --bench "$(basename "$bench" .rs)" -- --test
+done
 
 # Oracle gate: the whole test suite again with the runtime invariant
 # auditing compiled into release code paths (debug/test builds audit by
